@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"mrts/internal/core"
@@ -73,24 +75,38 @@ func (d *Directory) rebuildLocked() {
 			d.ring = append(d.ring, ringPoint{hash: vnodeHash(n, v), node: n})
 		}
 	}
-	sort.Slice(d.ring, func(i, j int) bool {
-		if d.ring[i].hash != d.ring[j].hash {
-			return d.ring[i].hash < d.ring[j].hash
+	slices.SortFunc(d.ring, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return d.ring[i].node < d.ring[j].node
+		return cmp.Compare(a.node, b.node)
 	})
 }
 
+// vnodeHash hashes the bytes "n<node>#<vnode>". Every process must derive
+// the same value, so the byte form is fixed; the formatting is done by hand
+// because rebuildLocked hashes 512 points per member.
 func vnodeHash(n core.NodeID, v int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "n%d#%d", n, v)
-	return mix64(h.Sum64())
+	var buf [32]byte
+	b := append(buf[:0], 'n')
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(v), 10)
+	return mix64(fnv1a(b))
 }
 
-func keyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return mix64(h.Sum64())
+func keyHash(key string) uint64 { return mix64(fnv1a([]byte(key))) }
+
+// fnv1a is the 64-bit FNV-1a hash (hash/fnv's New64a) without the
+// interface and its allocation.
+func fnv1a(b []byte) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }
 
 // mix64 is the splitmix64 finalizer. FNV-1a over short, similar strings

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -172,5 +173,27 @@ func TestDirectoryEdgeCases(t *testing.T) {
 	}
 	if _, err := d.OwnerAt("x", d.Epoch()+1); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("future epoch = %v, want ErrStaleEpoch", err)
+	}
+}
+
+// TestVnodeHashMatchesFormula pins the ring-point hash to its defining byte
+// string, FNV-1a of fmt's "n%d#%d", so placement stays identical across
+// processes built from different revisions.
+func TestVnodeHashMatchesFormula(t *testing.T) {
+	for n := core.NodeID(0); n < 64; n++ {
+		for v := 0; v < 512; v++ {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "n%d#%d", n, v)
+			if got, want := vnodeHash(n, v), mix64(h.Sum64()); got != want {
+				t.Fatalf("vnodeHash(%d, %d) = %#x, want %#x", n, v, got, want)
+			}
+		}
+	}
+	for _, key := range []string{"", "block-0-0", "mp-3-17", "probe-99"} {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		if got, want := keyHash(key), mix64(h.Sum64()); got != want {
+			t.Fatalf("keyHash(%q) = %#x, want %#x", key, got, want)
+		}
 	}
 }

@@ -55,6 +55,8 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 
 		switch st {
 		case stInCore, stStoring, stOut, stLoading, stLost:
+		case stMoved:
+			continue // migrated away after the snapshot above was taken
 		default:
 			fail("object %v in invalid state %d", ptr, st)
 		}

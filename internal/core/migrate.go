@@ -74,21 +74,20 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 		return ErrBusy
 	}
 
-	// Point of no return: capture the queue, drop the local record.
+	// Point of no return: capture the queue, ship the object, drop the
+	// local record. Up to the unlock this all happens under lo.mu, in an
+	// order that strands no message:
+	//   - the install goes out first, so a message routed to dest after it
+	//     arrives behind the object instead of bouncing ahead of it;
+	//   - the locator learns dest before the record leaves the table, so a
+	//     route that misses the record finds dest instead of parking here
+	//     for an object that has left (and holding the work counter);
+	//   - a route that found the record waits on lo.mu and then sees
+	//     stMoved, which routes it again.
 	q := lo.queue
 	lo.queue = nil
 	lo.migrating = true
-	typeID := lo.typeID
-	lo.mu.Unlock()
-
-	id := oid(ptr)
-	in := &install{
-		ptr:    ptr,
-		typeID: typeID,
-		locked: rt.mem.Locked(id),
-		blob:   blob,
-	}
-	in.queue = q
+	lo.state = stMoved
 	// The speculation snapshot leaves with the object: the conflict-
 	// resolution multicast pulls losers — snapshotted by definition — so a
 	// migration that stranded the snapshot would leak the pre-speculation
@@ -96,28 +95,41 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 	// collection's retry loop. Extracted before the object record drops so
 	// the invariant sweep never sees a snapshot without its object.
 	snap := rt.takeSnapshotBlob(ptr)
-	in.snap = snap
-
-	rt.mu.Lock()
-	delete(rt.objects, ptr)
-	rt.mu.Unlock()
-	rt.loc.Note(ptr, dest)
+	id := oid(ptr)
+	in := &install{
+		ptr:    ptr,
+		typeID: lo.typeID,
+		locked: rt.mem.Locked(id),
+		blob:   blob,
+		queue:  q,
+		snap:   snap,
+	}
 	rt.mem.Unregister(id)
 	// The blob leaves with the object — unconditionally, not just for
 	// stOut: an in-core object that was ever evicted here still has a
 	// stale blob on disk, and without this the spool leaks every
 	// migrated-away object's footprint forever.
 	rt.io.Delete(storeKey(ptr))
-
 	// The queued messages leave this node inside the install message.
 	rt.work.Add(int64(-len(q)))
 	rt.sent.Add(1)
-	if err := rt.ep.Send(dest, wireInstall, encodeInstall(in)); err != nil {
+	err = rt.ep.Send(dest, wireInstall, encodeInstall(in))
+	if err != nil {
+		rt.sent.Add(-1)
+		rt.work.Add(int64(len(q)))
+	} else {
+		rt.loc.Note(ptr, dest)
+	}
+	rt.mu.Lock()
+	if rt.objects[ptr] == lo { // dest may already have sent it back
+		delete(rt.objects, ptr)
+	}
+	rt.mu.Unlock()
+	lo.mu.Unlock()
+	if err != nil {
 		// Transport failure: reinstall locally (installLocal re-adopts a
 		// copy of the snapshot, so the extracted blob is released below
 		// either way).
-		rt.sent.Add(-1)
-		rt.work.Add(int64(len(q)))
 		rt.installLocal(in)
 		if snap != nil {
 			bufpool.Put(snap)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -87,5 +88,86 @@ func TestPostBeforeRestoreDelivers(t *testing.T) {
 	c.rts[1].Post(target, 98, nil)
 	if v := <-got; v != 8 {
 		t.Fatalf("Count = %d, want 8 (checkpointed 7 + parked increment)", v)
+	}
+}
+
+// hookLocator runs onNote before passing each Note to the wrapped locator.
+type hookLocator struct {
+	Locator
+	onNote func(ptr MobilePtr, at NodeID)
+}
+
+func (h *hookLocator) Note(ptr MobilePtr, at NodeID) {
+	h.onNote(ptr, at)
+	h.Locator.Note(ptr, at)
+}
+
+// TestPostDuringMigrationDelivers replays a post that races the migration
+// of its target. The post runs at the moment Migrate tells the locator where
+// the object went, before the locator records it. It must still reach the
+// object: had the record already left the object table, the post would find
+// neither the object nor its new location and park on the object's home
+// node for good.
+func TestPostDuringMigrationDelivers(t *testing.T) {
+	tr := comm.NewInProc(2, comm.LatencyModel{})
+	hook := &hookLocator{Locator: NewPolicyLocator(DirLazy, 0, 2)}
+	rts := make([]*Runtime, 2)
+	pools := make([]sched.Pool, 2)
+	for i := range rts {
+		pools[i] = sched.NewWorkStealing(2)
+		cfg := Config{
+			Endpoint: tr.Endpoint(comm.NodeID(i)),
+			Pool:     pools[i],
+			Factory:  testFactory,
+			Mem:      ooc.Config{Budget: 1 << 20},
+			Store:    storage.NewMem(),
+		}
+		if i == 0 {
+			cfg.Locator = hook
+		}
+		rts[i] = NewRuntime(cfg)
+		rts[i].Register(hInc, func(ctx *Ctx, arg []byte) { ctx.Object().(*testObj).Count++ })
+	}
+	t.Cleanup(func() {
+		for i, rt := range rts {
+			rt.Close()
+			pools[i].Close()
+		}
+		tr.Close()
+	})
+	p := rts[0].CreateObject(&testObj{})
+
+	posted := make(chan struct{})
+	var once sync.Once
+	hook.onNote = func(ptr MobilePtr, at NodeID) {
+		if ptr != p || at != 1 {
+			return
+		}
+		once.Do(func() {
+			go func() {
+				rts[0].Post(p, hInc, nil)
+				close(posted)
+			}()
+			// Give the post its chance to route before the locator learns
+			// the destination. It may instead wait on the migrating record
+			// until Migrate lets go of it.
+			select {
+			case <-posted:
+			case <-time.After(100 * time.Millisecond):
+			}
+		})
+	}
+	if err := rts[0].Migrate(p, 1); err != nil {
+		t.Fatal(err)
+	}
+	<-posted
+	waitQuiescenceOrFail(t, rts...)
+
+	got := make(chan int64, 1)
+	rts[1].Register(hSnapReport, func(ctx *Ctx, arg []byte) { got <- ctx.Object().(*testObj).Count })
+	rts[0].Post(p, hSnapReport, nil)
+	waitQuiescenceOrFail(t, rts...)
+	if c := <-got; c != 1 {
+		t.Fatalf("Count = %d on node 1, want 1", c)
 	}
 }

@@ -102,6 +102,10 @@ const (
 	// decoded) after the retry budget, so the object is unreachable.
 	// Messages to a lost object are dropped so termination still fires.
 	stLost
+	// stMoved is terminal for a record a migration dropped from the object
+	// table. A message that found the record just before the drop is
+	// re-routed to where the object went.
+	stMoved
 )
 
 type localObject struct {
@@ -115,6 +119,10 @@ type localObject struct {
 	scheduled bool // a drain task is queued or running
 	running   bool // a handler is executing right now
 	wantLoad  bool // load requested while storing
+	// demand marks a caller blocked until the object is in core (forceLoad):
+	// every load started or reissued for it goes in at demand class, and a
+	// cancelled prefetch is reissued. Cleared once the object is in core.
+	demand    bool
 	migrating bool
 }
 
@@ -468,6 +476,11 @@ func (rt *Runtime) ReRouteParked() int {
 // a drain task if in-core, a load if on disk.
 func (rt *Runtime) enqueueLocal(lo *localObject, q queued) {
 	lo.mu.Lock()
+	if lo.state == stMoved {
+		lo.mu.Unlock()
+		rt.route(&appMsg{dst: lo.ptr, handler: q.handler, sentAt: q.sentAt, arg: q.arg})
+		return
+	}
 	if lo.state == stLost {
 		// The object is unreachable (load failed after retries). Drop the
 		// message so termination is still detectable; the loss itself was

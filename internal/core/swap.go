@@ -22,6 +22,9 @@ func (rt *Runtime) startLoadLocked(lo *localObject, class swapio.Class) {
 	if lo.state != stOut {
 		return
 	}
+	if lo.demand {
+		class = swapio.Demand
+	}
 	lo.state = stLoading
 	rt.swapOps.Add(1)
 	sp := rt.tracer.Start(obs.KindSwapLoad, uint64(oid(lo.ptr)))
@@ -59,7 +62,7 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 		lo.mu.Lock()
 		if lo.state == stLoading {
 			lo.state = stOut
-			if !rt.closed.Load() && (len(lo.queue) > 0 || lo.wantLoad) {
+			if !rt.closed.Load() && (len(lo.queue) > 0 || lo.wantLoad || lo.demand) {
 				lo.wantLoad = false
 				rt.startLoadLocked(lo, swapio.Demand)
 			}
@@ -107,6 +110,7 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 	lo.mu.Lock()
 	lo.obj = obj
 	lo.state = stInCore
+	lo.demand = false
 	rt.mem.MarkIn(id)
 	if len(lo.queue) > 0 && !lo.scheduled {
 		lo.scheduled = true
@@ -190,12 +194,16 @@ func (rt *Runtime) finishEvict(lo *localObject, obj Object, encoded bool, n int,
 		lo.obj = obj
 		lo.state = stInCore
 		lo.wantLoad = false
+		lo.demand = false
 		rt.mem.MarkIn(id)
 		if len(lo.queue) > 0 && !lo.scheduled {
 			lo.scheduled = true
 			rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
 		}
 		lo.mu.Unlock()
+		// A multicast that asked for the object while it was storing is
+		// waiting for it to arrive in core, as it now has.
+		rt.mcasts.objectArrived(rt, lo.ptr)
 		if encoded {
 			// The write failed after the retry budget: loud rollback.
 			rt.tracer.Emit(obs.KindSwapStoreFail, uint64(id), int64(n))
@@ -205,7 +213,7 @@ func (rt *Runtime) finishEvict(lo *localObject, obj Object, encoded bool, n int,
 	}
 	lo.mu.Lock()
 	lo.state = stOut
-	want := lo.wantLoad || len(lo.queue) > 0
+	want := lo.wantLoad || lo.demand || len(lo.queue) > 0
 	class := swapio.Prefetch
 	if len(lo.queue) > 0 {
 		class = swapio.Demand
@@ -368,11 +376,20 @@ func (rt *Runtime) forceLoad(ptr MobilePtr) bool {
 	}
 	lo.mu.Lock()
 	switch lo.state {
+	case stMoved:
+		lo.mu.Unlock()
+		return false // migrated away since the lookup
 	case stOut:
+		lo.demand = true
 		rt.startLoadLocked(lo, swapio.Demand)
 	case stStoring:
-		lo.wantLoad = true
+		// finishEvict starts the load, at demand class.
+		lo.demand = true
 	case stLoading:
+		// The request may be a prefetch that CancelPrefetches has already
+		// detached, so Promote finds nothing; the cancellation callback
+		// then sees demand and reissues the load.
+		lo.demand = true
 		rt.io.Promote(storeKey(lo.ptr))
 	}
 	lo.mu.Unlock()

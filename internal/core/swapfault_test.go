@@ -8,9 +8,11 @@ import (
 
 	"mrts/internal/clock"
 	"mrts/internal/comm"
+	"mrts/internal/obs"
 	"mrts/internal/ooc"
 	"mrts/internal/sched"
 	"mrts/internal/storage"
+	"mrts/internal/swapio"
 )
 
 // The swap-fault tests run on a virtual clock: retry backoff, swap waits and
@@ -359,5 +361,46 @@ func TestEvictionRollbackClearsWantLoad(t *testing.T) {
 	}
 	if loads := rt.Mem().Snapshot().Loads; loads != baseline {
 		t.Fatalf("Loads = %d, want %d (nobody asked for the object)", loads, baseline)
+	}
+}
+
+// TestMcastSurvivesCancelledPrefetch replays, one step at a time, the
+// interleaving that wedged multicast ONUPDR runs. A member's prefetch is
+// queued (stLoading) when memory pressure cancels it: CancelPrefetches
+// detaches the request from the I/O scheduler first and runs its callback
+// afterwards. A multicast that asks for the member in between finds it
+// stLoading, promotes a request that no longer exists, and relies on a load
+// that will never complete; the cancellation callback must then reissue the
+// load, or the collection holds its work unit forever.
+func TestMcastSurvivesCancelledPrefetch(t *testing.T) {
+	rt, _ := newSwapFaultRuntime(t, storage.NewMem(), 1<<20, storage.RetryPolicy{})
+	a := rt.CreateObject(&testObj{})
+	b := rt.CreateObject(&testObj{Count: 5})
+	if st := evictAndSettle(t, rt, b); st != stOut {
+		t.Fatalf("eviction of %v settled in state %d, want stOut", b, st)
+	}
+	rt.mu.Lock()
+	lo := rt.objects[b]
+	rt.mu.Unlock()
+
+	// The window: b is stLoading, but its request is already detached.
+	lo.mu.Lock()
+	lo.state = stLoading
+	lo.mu.Unlock()
+	rt.startMcast([]MobilePtr{a, b}, 1, hInc, nil)
+	// The cancellation callback the detached request still owes.
+	rt.finishLoad(lo, obs.Span{}, nil, swapio.ErrCanceled)
+
+	waitQuiesceOrFail(t, rt)
+	if n := rt.PendingMulticasts(); n != 0 {
+		t.Fatalf("PendingMulticasts = %d, want 0", n)
+	}
+	got := make(chan int64, 2)
+	rt.Register(hSnapReport, func(ctx *Ctx, arg []byte) { got <- ctx.Object().(*testObj).Count })
+	rt.Post(a, hSnapReport, nil)
+	rt.Post(b, hSnapReport, nil)
+	waitQuiesceOrFail(t, rt)
+	if ca, cb := <-got, <-got; ca+cb != 6 {
+		t.Fatalf("counts %d+%d, want the multicast delivered to a (1) and b reloaded intact (5)", ca, cb)
 	}
 }

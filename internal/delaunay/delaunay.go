@@ -156,6 +156,9 @@ type refiner struct {
 	beta  float64
 	bad   []mesh.TriID // stack of candidate bad triangles (rechecked at pop)
 	stats Stats
+
+	// Scratch reused by refineTriangle.
+	segs, encSegs [][2]mesh.VertexID
 }
 
 // Refine runs Ruppert refinement on m in place. m must be a carved CDT: its
@@ -312,9 +315,7 @@ func (r *refiner) splitAllEncroached() error {
 // queueAround pushes all triangles incident to v onto the bad-candidate
 // stack (they are rechecked at pop time).
 func (r *refiner) queueAround(v mesh.VertexID) {
-	for _, t := range r.m.IncidentTriangles(v) {
-		r.bad = append(r.bad, t)
-	}
+	r.bad = r.m.AppendIncidentTriangles(r.bad, v)
 }
 
 // refineTriangle attempts to kill bad triangle t by inserting its
@@ -335,9 +336,13 @@ func (r *refiner) refineTriangle(t mesh.TriID) error {
 
 	// Find the constrained segments the would-be cavity of c exposes, and
 	// test them for encroachment by c.
-	segs, loc := r.cavitySegments(c, t)
-	var encroachedSegs [][2]mesh.VertexID
-	for _, s := range segs {
+	loc := r.m.Locate(c, t)
+	r.segs = r.segs[:0]
+	if loc.Kind != mesh.LocateFailed && loc.Kind != mesh.LocateOnVert {
+		r.segs = r.m.AppendCavitySegments(r.segs, c, loc.Tri)
+	}
+	encroachedSegs := r.encSegs[:0]
+	for _, s := range r.segs {
 		seg := geom.Segment{A: r.m.Vertex(s[0]), B: r.m.Vertex(s[1])}
 		if seg.DiametralContains(c) {
 			encroachedSegs = append(encroachedSegs, s)
@@ -354,6 +359,7 @@ func (r *refiner) refineTriangle(t mesh.TriID) error {
 			return nil
 		}
 	}
+	r.encSegs = encroachedSegs
 
 	if len(encroachedSegs) > 0 && r.opts.NoSegmentSplit {
 		// Segments are frozen: leave this triangle be.
@@ -394,41 +400,6 @@ func (r *refiner) refineTriangle(t mesh.TriID) error {
 	r.stats.SteinerPoints++
 	r.queueAround(v)
 	return nil
-}
-
-// cavitySegments computes, without mutating the mesh, the constrained edges
-// on the boundary of the Bowyer–Watson cavity that inserting c would carve.
-// It returns the located position of c as well.
-func (r *refiner) cavitySegments(c geom.Point, hint mesh.TriID) ([][2]mesh.VertexID, mesh.Location) {
-	loc := r.m.Locate(c, hint)
-	if loc.Kind == mesh.LocateFailed || loc.Kind == mesh.LocateOnVert {
-		return nil, loc
-	}
-	inCavity := map[mesh.TriID]bool{loc.Tri: true}
-	stack := []mesh.TriID{loc.Tri}
-	var segs [][2]mesh.VertexID
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		tr := r.m.Tri(t)
-		for i := 0; i < 3; i++ {
-			a := tr.V[(i+1)%3]
-			b := tr.V[(i+2)%3]
-			n := tr.N[i]
-			if r.m.IsConstrained(a, b) {
-				segs = append(segs, [2]mesh.VertexID{a, b})
-				continue
-			}
-			if n == mesh.NoTri || inCavity[n] {
-				continue
-			}
-			if r.m.Triangle(n).CircumcircleContains(c) {
-				inCavity[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	return segs, loc
 }
 
 // blockingSegment walks from triangle t toward target and returns the first

@@ -19,13 +19,15 @@ func (m *Mesh) Carve() {
 }
 
 // CarveFrom deletes every triangle reachable from the seed triangles without
-// crossing a constrained edge.
+// crossing a constrained edge. Triangles die in discovery order, so the IDs
+// later insertions recycle are deterministic.
 func (m *Mesh) CarveFrom(seeds []TriID) {
-	kill := make(map[TriID]bool, len(seeds)*4)
-	stack := make([]TriID, 0, len(seeds))
+	ep := m.newEpoch()
+	kill, stack := m.cavity[:0], m.stack[:0]
 	for _, s := range seeds {
-		if s != NoTri && m.alive[s] && !kill[s] {
-			kill[s] = true
+		if s != NoTri && m.alive[s] && m.marks[s] != ep {
+			m.marks[s] = ep
+			kill = append(kill, s)
 			stack = append(stack, s)
 		}
 	}
@@ -35,7 +37,7 @@ func (m *Mesh) CarveFrom(seeds []TriID) {
 		tr := m.tris[t]
 		for i := 0; i < 3; i++ {
 			n := tr.N[i]
-			if n == NoTri || kill[n] {
+			if n == NoTri || m.marks[n] == ep {
 				continue
 			}
 			a := tr.V[(i+1)%3]
@@ -43,16 +45,17 @@ func (m *Mesh) CarveFrom(seeds []TriID) {
 			if m.IsConstrained(a, b) {
 				continue
 			}
-			kill[n] = true
+			m.marks[n] = ep
+			kill = append(kill, n)
 			stack = append(stack, n)
 		}
 	}
 	// Unlink neighbors pointing into the killed region, then delete.
-	for t := range kill {
+	for _, t := range kill {
 		tr := m.tris[t]
 		for i := 0; i < 3; i++ {
 			n := tr.N[i]
-			if n == NoTri || kill[n] {
+			if n == NoTri || m.marks[n] == ep {
 				continue
 			}
 			for j := 0; j < 3; j++ {
@@ -62,7 +65,8 @@ func (m *Mesh) CarveFrom(seeds []TriID) {
 			}
 		}
 	}
-	for t := range kill {
+	for _, t := range kill {
 		m.killTri(t)
 	}
+	m.cavity, m.stack = kill[:0], stack[:0]
 }

@@ -156,7 +156,8 @@ func (m *Mesh) crossingEdges(a, b VertexID) ([]edgeKey, error) {
 	var first edgeKey
 	found := false
 	// Iterate over all triangles around a.
-	ring, err := m.triangleRing(a, start)
+	ring, err := m.triangleRing(a, start, m.ring[:0])
+	m.ring = ring[:0]
 	if err != nil {
 		return nil, err
 	}
@@ -218,37 +219,38 @@ func (m *Mesh) crossingEdges(a, b VertexID) ([]edgeKey, error) {
 	}
 }
 
-// triangleRing returns the triangles around vertex v in order, starting from
-// triangle start (which must be incident to v). It handles open fans at the
-// hull by walking both directions.
-func (m *Mesh) triangleRing(v VertexID, start TriID) ([]TriID, error) {
-	var ring []TriID
-	seen := make(map[TriID]bool)
+// triangleRing appends the triangles around vertex v to ring in order,
+// starting from triangle start (which must be incident to v), and returns
+// the extended slice. It handles open fans at the hull by walking both
+// directions. On error ring is returned at its original length.
+func (m *Mesh) triangleRing(v VertexID, start TriID, ring []TriID) ([]TriID, error) {
+	base := len(ring)
+	ep := m.newEpoch()
 	// Walk counter-clockwise.
 	t := start
-	for t != NoTri && !seen[t] {
-		seen[t] = true
+	for t != NoTri && m.marks[t] != ep {
+		m.marks[t] = ep
 		ring = append(ring, t)
 		i := m.vertIndex(t, v)
 		if i < 0 {
-			return nil, ErrNoPath
+			return ring[:base], ErrNoPath
 		}
 		// Next CCW triangle is across edge (v, V[i+1]) = edge opposite V[i+2].
 		t = m.tris[t].N[(i+2)%3]
 	}
-	if t == start && len(ring) > 0 && seen[start] {
+	if t == start && len(ring) > base {
 		return ring, nil // closed ring
 	}
 	// Open fan: also walk clockwise from start.
 	t = start
 	i := m.vertIndex(t, v)
 	t = m.tris[t].N[(i+1)%3]
-	for t != NoTri && !seen[t] {
-		seen[t] = true
+	for t != NoTri && m.marks[t] != ep {
+		m.marks[t] = ep
 		ring = append(ring, t)
 		i := m.vertIndex(t, v)
 		if i < 0 {
-			return nil, ErrNoPath
+			return ring[:base], ErrNoPath
 		}
 		t = m.tris[t].N[(i+1)%3]
 	}
@@ -261,10 +263,8 @@ func (m *Mesh) findEdge(a, b VertexID) TriID {
 	if start == NoTri {
 		return NoTri
 	}
-	ring, err := m.triangleRing(a, start)
-	if err != nil {
-		return NoTri
-	}
+	ring, _ := m.triangleRing(a, start, m.ring[:0])
+	m.ring = ring[:0]
 	for _, t := range ring {
 		if m.vertIndex(t, b) >= 0 {
 			return t

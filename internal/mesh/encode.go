@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"mrts/internal/geom"
 )
@@ -15,9 +16,14 @@ const (
 	encodeVersion = 1
 
 	// maxDecodeElems bounds every untrusted count in the encoding (vertices,
-	// triangles, constraints). A corrupted length prefix could otherwise
-	// demand a multi-gigabyte allocation before the short read is noticed.
+	// triangles, constraints).
 	maxDecodeElems = 1 << 24
+
+	// maxDecodePrealloc bounds what DecodeFrom allocates on the strength of
+	// a count alone; tables larger than this grow as their bytes arrive, so
+	// a corrupted length prefix cannot demand a large allocation before the
+	// short read is noticed.
+	maxDecodePrealloc = 1 << 16
 )
 
 // EncodedSize returns the exact number of bytes EncodeTo will write for the
@@ -126,13 +132,15 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	if nv > maxDecodeElems {
 		return fmt.Errorf("mesh: vertex count %d exceeds limit %d (corrupt blob?)", nv, maxDecodeElems)
 	}
-	verts := make([]geom.Point, nv)
-	for i := range verts {
+	verts := make([]geom.Point, 0, min(nv, maxDecodePrealloc))
+	for i := uint32(0); i < nv; i++ {
 		if _, err := io.ReadFull(br, scratch[:16]); err != nil {
 			return err
 		}
-		verts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:8]))
-		verts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(scratch[8:16]))
+		verts = append(verts, geom.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(scratch[:8])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(scratch[8:16])),
+		})
 	}
 	var super [3]VertexID
 	for i := range super {
@@ -149,8 +157,9 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	if nt > maxDecodeElems {
 		return fmt.Errorf("mesh: triangle count %d exceeds limit %d (corrupt blob?)", nt, maxDecodeElems)
 	}
-	tris := make([]Tri, nt)
-	for i := range tris {
+	tris := make([]Tri, 0, min(nt, maxDecodePrealloc))
+	for i := uint32(0); i < nt; i++ {
+		tr := Tri{N: [3]TriID{NoTri, NoTri, NoTri}}
 		for k := 0; k < 3; k++ {
 			v, err := getU32()
 			if err != nil {
@@ -160,9 +169,9 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 			if id < 0 || int(id) >= len(verts) {
 				return fmt.Errorf("mesh: triangle %d references vertex %d out of range", i, id)
 			}
-			tris[i].V[k] = id
+			tr.V[k] = id
 		}
-		tris[i].N = [3]TriID{NoTri, NoTri, NoTri}
+		tris = append(tris, tr)
 	}
 	nc, err := getU32()
 	if err != nil {
@@ -171,7 +180,7 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	if nc > maxDecodeElems {
 		return fmt.Errorf("mesh: constraint count %d exceeds limit %d (corrupt blob?)", nc, maxDecodeElems)
 	}
-	constrained := make(map[edgeKey]bool, nc)
+	constrained := make(map[edgeKey]bool, min(nc, maxDecodePrealloc))
 	for i := uint32(0); i < nc; i++ {
 		a, err := getU32()
 		if err != nil {
@@ -181,7 +190,11 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		constrained[mkEdge(VertexID(int32(a)), VertexID(int32(b)))] = true
+		va, vb := VertexID(int32(a)), VertexID(int32(b))
+		if va < 0 || int(va) >= len(verts) || vb < 0 || int(vb) >= len(verts) {
+			return fmt.Errorf("mesh: constrained edge %d references vertex (%d,%d) out of range", i, va, vb)
+		}
+		constrained[mkEdge(va, vb)] = true
 	}
 
 	// Rebuild adjacency from directed half-edges.
@@ -222,4 +235,92 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	m.super = super
 	m.nAlive = len(tris)
 	return nil
+}
+
+// AppendEncodedTriangles reads a blob written by EncodeTo in place, without
+// decoding it into a Mesh. It accepts exactly the blobs DecodeFrom accepts:
+// it checks the magic, the version, every count limit, every triangle and
+// constraint vertex reference, and that the constraint section is complete.
+// If the blob is valid it appends the corners of every triangle that does
+// not touch a super vertex to dst, in encoding order, and returns the
+// extended slice; it builds no adjacency. On error dst is returned as is.
+func AppendEncodedTriangles(dst [][3]geom.Point, data []byte) ([][3]geom.Point, error) {
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(data[off:]) }
+	need := func(off int, n uint32, size int) error {
+		if uint64(len(data)) < uint64(off)+uint64(n)*uint64(size) {
+			return io.ErrUnexpectedEOF
+		}
+		return nil
+	}
+	if err := need(0, 3, 4); err != nil {
+		return dst, err
+	}
+	if magic := u32(0); magic != encodeMagic {
+		return dst, fmt.Errorf("mesh: bad magic %#x", magic)
+	}
+	if version := u32(4); version != encodeVersion {
+		return dst, fmt.Errorf("mesh: unsupported version %d", version)
+	}
+	nv := u32(8)
+	if nv > maxDecodeElems {
+		return dst, fmt.Errorf("mesh: vertex count %d exceeds limit %d (corrupt blob?)", nv, maxDecodeElems)
+	}
+	vertOff := 12
+	off := vertOff + 16*int(nv)
+	if err := need(off, 4, 4); err != nil { // super vertices, triangle count
+		return dst, err
+	}
+	var super [3]VertexID
+	for i := range super {
+		super[i] = VertexID(int32(u32(off + 4*i)))
+	}
+	nt := u32(off + 12)
+	if nt > maxDecodeElems {
+		return dst, fmt.Errorf("mesh: triangle count %d exceeds limit %d (corrupt blob?)", nt, maxDecodeElems)
+	}
+	triOff := off + 16
+	off = triOff + 12*int(nt)
+	if err := need(triOff, nt, 12); err != nil {
+		return dst, err
+	}
+	inRange := func(v uint32) bool { return v < nv } // also rejects int32(v) < 0
+	for i := 0; i < 3*int(nt); i++ {
+		if v := u32(triOff + 4*i); !inRange(v) {
+			return dst, fmt.Errorf("mesh: triangle %d references vertex %d out of range", i/3, int32(v))
+		}
+	}
+	if err := need(off, 1, 4); err != nil {
+		return dst, err
+	}
+	nc := u32(off)
+	if nc > maxDecodeElems {
+		return dst, fmt.Errorf("mesh: constraint count %d exceeds limit %d (corrupt blob?)", nc, maxDecodeElems)
+	}
+	if err := need(off+4, nc, 8); err != nil {
+		return dst, err
+	}
+	for i := 0; i < int(nc); i++ {
+		if a, b := u32(off+4+8*i), u32(off+8+8*i); !inRange(a) || !inRange(b) {
+			return dst, fmt.Errorf("mesh: constrained edge %d references vertex (%d,%d) out of range", i, int32(a), int32(b))
+		}
+	}
+
+	vertex := func(v VertexID) geom.Point {
+		o := vertOff + 16*int(v)
+		return geom.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(data[o:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(data[o+8:])),
+		}
+	}
+	isSuper := func(v VertexID) bool { return v == super[0] || v == super[1] || v == super[2] }
+	dst = slices.Grow(dst, int(nt))
+	for i := 0; i < int(nt); i++ {
+		o := triOff + 12*i
+		a, b, c := VertexID(u32(o)), VertexID(u32(o+4)), VertexID(u32(o+8))
+		if isSuper(a) || isSuper(b) || isSuper(c) {
+			continue
+		}
+		dst = append(dst, [3]geom.Point{vertex(a), vertex(b), vertex(c)})
+	}
+	return dst, nil
 }

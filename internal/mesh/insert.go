@@ -49,7 +49,7 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 		excludeEdge    edgeKey
 		hasExclude     bool
 	)
-	seeds := []TriID{loc.Tri}
+	seeds := [2]TriID{loc.Tri, NoTri}
 	if loc.Kind == LocateOnEdge {
 		tr := m.tris[loc.Tri]
 		a := tr.V[(loc.Edge+1)%3]
@@ -61,21 +61,19 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 			m.SetConstrained(a, b, false)
 			excludeEdge, hasExclude = mkEdge(a, b), true
 		}
-		if n := tr.N[loc.Edge]; n != NoTri {
-			seeds = append(seeds, n)
-		}
+		seeds[1] = tr.N[loc.Edge]
 	}
 
 	// Grow the cavity: triangles whose circumcircle strictly contains p,
 	// reached without crossing constrained edges. The cavity is kept as an
 	// ordered list (discovery order) so that retriangulation — and hence
-	// everything downstream of it — is deterministic.
-	inCavity := make(map[TriID]bool, 8)
-	var cavity []TriID
-	stack := make([]TriID, 0, 8)
+	// everything downstream of it — is deterministic. Cavity members are
+	// marked with this insertion's epoch.
+	ep := m.newEpoch()
+	cavity, stack := m.cavity[:0], m.stack[:0]
 	for _, s := range seeds {
-		if !inCavity[s] {
-			inCavity[s] = true
+		if s != NoTri && m.marks[s] != ep {
+			m.marks[s] = ep
 			cavity = append(cavity, s)
 			stack = append(stack, s)
 		}
@@ -86,7 +84,7 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 		tr := m.tris[t]
 		for i := 0; i < 3; i++ {
 			n := tr.N[i]
-			if n == NoTri || inCavity[n] {
+			if n == NoTri || m.marks[n] == ep {
 				continue
 			}
 			a := tr.V[(i+1)%3]
@@ -95,7 +93,7 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 				continue
 			}
 			if m.Triangle(n).CircumcircleContains(p) {
-				inCavity[n] = true
+				m.marks[n] = ep
 				cavity = append(cavity, n)
 				stack = append(stack, n)
 			}
@@ -106,18 +104,14 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 	// as seen from inside the cavity. The edge being split (if any) is
 	// excluded: p lies on it, so it contributes the two hull edges (a,p),
 	// (p,b) instead of a degenerate fan triangle.
-	type bedge struct {
-		a, b VertexID
-		out  TriID
-	}
-	var boundary []bedge
+	boundary := m.boundary[:0]
 	for _, t := range cavity {
 		tr := m.tris[t]
 		for i := 0; i < 3; i++ {
 			a := tr.V[(i+1)%3]
 			b := tr.V[(i+2)%3]
 			n := tr.N[i]
-			if n != NoTri && inCavity[n] {
+			if n != NoTri && m.marks[n] == ep {
 				continue
 			}
 			if hasExclude && mkEdge(a, b) == excludeEdge {
@@ -134,17 +128,13 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 	}
 
 	// Retriangulate: fan of (v, a, b) triangles. Wire internal edges via
-	// the boundary chain: successor of (v,a,b) across edge (b,v) is the
-	// triangle whose first base vertex is b; predecessor across (v,a) is
-	// the one whose second base vertex is a.
-	byA := make(map[VertexID]TriID, len(boundary))
-	byB := make(map[VertexID]TriID, len(boundary))
-	created := make([]TriID, 0, len(boundary))
+	// the boundary chain: the neighbour across (b, v) is the fan triangle
+	// whose base starts at b, the one across (v, a) the fan triangle whose
+	// base ends at a. Should a vertex start (or end) several bases, the
+	// last one in boundary order is taken.
+	created := m.created[:0]
 	for _, e := range boundary {
-		t := m.newTri(v, e.a, e.b)
-		byA[e.a] = t
-		byB[e.b] = t
-		created = append(created, t)
+		created = append(created, m.newTri(v, e.a, e.b))
 	}
 	for i, e := range boundary {
 		t := created[i]
@@ -152,17 +142,19 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 		if e.out != NoTri {
 			m.link(t, 0, e.out)
 		}
-		if nb, ok := byA[e.b]; ok {
-			m.tris[t].N[1] = nb // edge (b, v)
-		} else {
-			m.tris[t].N[1] = NoTri
+		next, prev := NoTri, NoTri
+		for j := len(boundary) - 1; j >= 0 && (next == NoTri || prev == NoTri); j-- {
+			if next == NoTri && boundary[j].a == e.b {
+				next = created[j]
+			}
+			if prev == NoTri && boundary[j].b == e.a {
+				prev = created[j]
+			}
 		}
-		if pb, ok := byB[e.a]; ok {
-			m.tris[t].N[2] = pb // edge (v, a)
-		} else {
-			m.tris[t].N[2] = NoTri
-		}
+		m.tris[t].N[1] = next // edge (b, v)
+		m.tris[t].N[2] = prev // edge (v, a)
 	}
+	m.cavity, m.stack, m.boundary, m.created = cavity[:0], stack[:0], boundary[:0], created[:0]
 
 	if splitA != NoVertex {
 		m.SetConstrained(splitA, v, true)
@@ -177,3 +169,36 @@ func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
 // InsertVertexAt adds p as a vertex without touching the triangulation.
 // It is used when assembling meshes from serialized parts.
 func (m *Mesh) InsertVertexAt(p geom.Point) VertexID { return m.addVertex(p) }
+
+// AppendCavitySegments appends to dst, in discovery order, the constrained
+// edges on the boundary of the Bowyer–Watson cavity that inserting p would
+// carve when grown from triangle t (which must contain p), and returns the
+// extended slice. The mesh is not changed.
+func (m *Mesh) AppendCavitySegments(dst [][2]VertexID, p geom.Point, t TriID) [][2]VertexID {
+	ep := m.newEpoch()
+	m.marks[t] = ep
+	stack := append(m.stack[:0], t)
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		tr := m.tris[t]
+		for i := 0; i < 3; i++ {
+			a := tr.V[(i+1)%3]
+			b := tr.V[(i+2)%3]
+			n := tr.N[i]
+			if m.IsConstrained(a, b) {
+				dst = append(dst, [2]VertexID{a, b})
+				continue
+			}
+			if n == NoTri || m.marks[n] == ep {
+				continue
+			}
+			if m.Triangle(n).CircumcircleContains(p) {
+				m.marks[n] = ep
+				stack = append(stack, n)
+			}
+		}
+	}
+	m.stack = stack[:0]
+	return dst
+}

@@ -8,6 +8,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mrts/internal/geom"
 )
@@ -78,6 +79,23 @@ type Mesh struct {
 	super [3]VertexID
 
 	nAlive int
+
+	// marks[t] == epoch marks triangle t as visited by the running
+	// traversal (see newEpoch). Like the scratch slices below, it is reused
+	// across operations so that steady-state insertion does not allocate,
+	// and it is neither serialized nor counted by EncodedSize.
+	marks []uint16
+	epoch uint16
+
+	cavity, stack, created, ring []TriID
+	boundary                     []bedge
+}
+
+// bedge is a cavity boundary edge (a, b), CCW as seen from inside the
+// cavity, with the triangle outside it (or NoTri).
+type bedge struct {
+	a, b VertexID
+	out  TriID
 }
 
 // New returns an empty mesh.
@@ -96,7 +114,28 @@ func NewWithCapacity(nv, nt int) *Mesh {
 	m.vertTri = make([]TriID, 0, nv)
 	m.tris = make([]Tri, 0, nt)
 	m.alive = make([]bool, 0, nt)
+	m.marks = make([]uint16, 0, nt)
 	return m
+}
+
+// newEpoch starts a traversal and returns its stamp: after the call no
+// triangle is marked, and a traversal marks t by setting m.marks[t] to the
+// stamp. Every traversal takes a fresh stamp and none runs inside another;
+// marks covers every triangle slot that exists when the stamp is taken.
+func (m *Mesh) newEpoch() uint16 {
+	if n, old := len(m.tris), len(m.marks); old < n {
+		m.marks = slices.Grow(m.marks, n-old)[:n]
+		clear(m.marks[old:])
+	}
+	m.epoch++
+	if m.epoch == 0 {
+		// Wrapped, so stale stamps could collide: clear once every 65,535
+		// traversals. 16-bit stamps halve what the marks add to a live
+		// mesh, for a clear too rare to measure.
+		clear(m.marks)
+		m.epoch = 1
+	}
+	return m.epoch
 }
 
 // NumVertices returns the number of vertices, including super vertices.

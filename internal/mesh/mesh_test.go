@@ -431,7 +431,7 @@ func TestTriangleRingClosedAndOpen(t *testing.T) {
 		if start == NoTri {
 			continue // super vertices have no triangles after carving
 		}
-		ring, err := m.triangleRing(v, start)
+		ring, err := m.triangleRing(v, start, nil)
 		if err != nil {
 			t.Fatalf("ring(%d): %v", v, err)
 		}

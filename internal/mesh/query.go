@@ -4,13 +4,19 @@ package mesh
 // (open fans at the hull are still fully covered). Returns nil if v has no
 // incident triangle.
 func (m *Mesh) IncidentTriangles(v VertexID) []TriID {
+	return m.AppendIncidentTriangles(nil, v)
+}
+
+// AppendIncidentTriangles appends the triangles IncidentTriangles would
+// return to dst and returns the extended slice.
+func (m *Mesh) AppendIncidentTriangles(dst []TriID, v VertexID) []TriID {
 	start := m.IncidentTri(v)
 	if start == NoTri {
-		return nil
+		return dst
 	}
-	ring, err := m.triangleRing(v, start)
+	ring, err := m.triangleRing(v, start, dst)
 	if err != nil {
-		return nil
+		return dst
 	}
 	return ring
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"mrts/internal/bufpool"
 	"mrts/internal/cluster"
 	"mrts/internal/core"
+	"mrts/internal/geom"
 	"mrts/internal/mesh"
 	"mrts/internal/meshstore"
 	"mrts/internal/storage"
@@ -253,49 +255,77 @@ func exportBlock(w *meshstore.Writer, i, j int, o *blockObj) error {
 // hashMesh digests a block's refined mesh by geometry, not by encoding:
 // mesh.EncodeTo's byte output depends on internal ID assignment order, which
 // varies with scheduling, so two geometrically identical meshes can encode
-// differently. The canonical form is the multiset of live non-super triangles,
-// each as its three vertex coordinates sorted, the list itself sorted.
+// differently. The canonical form is the multiset of live non-super
+// triangles, each as its three vertex coordinates sorted by X then Y, the
+// list itself sorted; the digest is SHA-256 over those coordinates as
+// little-endian float64 bits. The triangles are read from the blob in place
+// (mesh.AppendEncodedTriangles): the digest needs no adjacency.
 func hashMesh(data []byte) []byte {
-	m := mesh.New()
-	if err := m.DecodeFrom(bytes.NewReader(data)); err != nil {
+	tris, err := mesh.AppendEncodedTriangles(nil, data)
+	if err != nil {
 		// An undecodable mesh hashes to a tagged digest of the raw bytes so
 		// the equality check fails loudly rather than panicking mid-handler.
 		h := sha256.Sum256(append([]byte("undecodable:"), data...))
 		return h[:]
 	}
-	type tri [6]float64
-	var tris []tri
-	m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) {
-		if m.HasSuperVertex(t) {
-			return
-		}
-		g := m.Triangle(t)
-		pts := [3][2]float64{{g.A.X, g.A.Y}, {g.B.X, g.B.Y}, {g.C.X, g.C.Y}}
-		sort.Slice(pts[:], func(a, b int) bool {
-			if pts[a][0] != pts[b][0] {
-				return pts[a][0] < pts[b][0]
+	for i := range tris {
+		sortCorners(&tris[i])
+	}
+	slices.SortFunc(tris, func(a, b [3]geom.Point) int {
+		for k := 0; k < 3; k++ {
+			if a[k].X != b[k].X {
+				return cmpLess(a[k].X < b[k].X)
 			}
-			return pts[a][1] < pts[b][1]
-		})
-		tris = append(tris, tri{pts[0][0], pts[0][1], pts[1][0], pts[1][1], pts[2][0], pts[2][1]})
-	})
-	sort.Slice(tris, func(a, b int) bool {
-		for k := 0; k < 6; k++ {
-			if tris[a][k] != tris[b][k] {
-				return tris[a][k] < tris[b][k]
+			if a[k].Y != b[k].Y {
+				return cmpLess(a[k].Y < b[k].Y)
 			}
 		}
-		return false
+		return 0
 	})
 	h := sha256.New()
-	var b [8]byte
+	buf := make([]byte, 0, 48*256)
 	for _, tr := range tris {
-		for _, v := range tr {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		for _, p := range tr {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
 		}
 	}
+	h.Write(buf)
 	return h.Sum(nil)
+}
+
+// cmpLess maps the outcome of a < b, for a != b, to a comparison result.
+// Written this way, a comparison is negative exactly when a less-than
+// function would report true, even for NaN coordinates in a corrupt blob.
+func cmpLess(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
+}
+
+// sortCorners orders a triangle's corners by X, then Y, with the compare
+// and swap steps of an insertion sort.
+func sortCorners(t *[3]geom.Point) {
+	less := func(p, q geom.Point) bool {
+		if p.X != q.X {
+			return p.X < q.X
+		}
+		return p.Y < q.Y
+	}
+	if less(t[1], t[0]) {
+		t[0], t[1] = t[1], t[0]
+	}
+	if less(t[2], t[1]) {
+		t[1], t[2] = t[2], t[1]
+		if less(t[1], t[0]) {
+			t[0], t[1] = t[1], t[0]
+		}
+	}
 }
 
 // CreateBlocks creates this node's blocks in the canonical order and

@@ -10,6 +10,7 @@ import (
 
 	"mrts/internal/core"
 	"mrts/internal/geom"
+	"mrts/internal/mesh"
 )
 
 // Mobile object type IDs (shared by all O-methods; the Factory below builds
@@ -121,6 +122,18 @@ func writeBytes(w io.Writer, b []byte) error {
 	}
 	_, err := w.Write(b)
 	return err
+}
+
+// encodeMesh returns m's EncodeTo bytes in a slice of exactly that length.
+// A block keeps these bytes while it is resident, and a bytes.Buffer grown
+// by doubling would keep up to twice as much heap as the memory budget
+// accounts for it.
+func encodeMesh(m *mesh.Mesh) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, m.EncodedSize()))
+	if err := m.EncodeTo(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 func readBytes(r io.Reader) ([]byte, error) {

@@ -194,8 +194,11 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 		}
 	}
 	// Wire neighbor pointers through messages so the writes serialize with
-	// any swapping, then start refinement. Per-pair FIFO ordering makes the
-	// wire message arrive before the refine message.
+	// any swapping, then start refinement. Every wire message is queued
+	// before any refinement starts: a subdomain that refined first would
+	// otherwise send split points to a neighbor not yet wired, which then
+	// refines with no neighbors, drops its own outgoing splits and leaves
+	// the interface nonconforming.
 	for j := 0; j < g; j++ {
 		for i := 0; i < g; i++ {
 			idx := j*g + i
@@ -212,10 +215,11 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 			if j+1 < g {
 				nbs[sideTop] = ptrs[idx+g]
 			}
-			rt := cl.RT(int(ptrs[idx].Home))
-			rt.Post(ptrs[idx], hSDWire, encodePtrList(nbs))
-			rt.Post(ptrs[idx], hSDRefine, nil)
+			cl.RT(int(ptrs[idx].Home)).Post(ptrs[idx], hSDWire, encodePtrList(nbs))
 		}
+	}
+	for _, p := range ptrs {
+		cl.RT(int(p.Home)).Post(p, hSDRefine, nil)
 	}
 	cl.Wait()
 

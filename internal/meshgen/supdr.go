@@ -397,11 +397,11 @@ func specMeshHandler(c *core.Ctx, o *specBlockObj, arg []byte, sh *supdrShared) 
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := bm.mesh.EncodeTo(&buf); err != nil {
+		data, err := encodeMesh(bm.mesh)
+		if err != nil {
 			return
 		}
-		o.MeshData = buf.Bytes()
+		o.MeshData = data
 		o.Elements = int32(bm.mesh.NumTriangles())
 		o.Verts = int32(bm.mesh.NumVertices())
 		specCommit(c, o, sh)
@@ -450,12 +450,12 @@ func specMeshHandler(c *core.Ctx, o *specBlockObj, arg []byte, sh *supdrShared) 
 		_ = c.Runtime().RollbackObject(c.Self)
 		return
 	}
-	var buf bytes.Buffer
-	if err := bm.mesh.EncodeTo(&buf); err != nil {
+	data, err := encodeMesh(bm.mesh)
+	if err != nil {
 		_ = c.Runtime().RollbackObject(c.Self)
 		return
 	}
-	o.MeshData = buf.Bytes()
+	o.MeshData = data
 	o.Elements = int32(bm.mesh.NumTriangles())
 	o.Verts = int32(bm.mesh.NumVertices())
 	// Shared totals are deliberately NOT added here: a rolled-back
