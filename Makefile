@@ -116,8 +116,8 @@ lint:
 e2e-multiproc:
 	$(GO) build -o bin/meshnode ./cmd/meshnode
 	$(GO) build -o bin/meshctl ./cmd/meshctl
-	bin/meshctl -meshnode bin/meshnode -nodes 1 -blocks 6 -elements 20000 -phases 3 -dir e2e-run/baseline -out baseline.txt
-	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 3 -kill 2 -kill-after 0 -dir e2e-run/cluster -baseline baseline.txt
+	bin/meshctl run -meshnode bin/meshnode -nodes 1 -blocks 6 -elements 20000 -phases 3 -dir e2e-run/baseline -out baseline.txt
+	bin/meshctl run -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 3 -kill 2 -kill-after 0 -dir e2e-run/cluster -baseline baseline.txt
 	bin/meshctl export -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 2 -kill-export 2 -store e2e-run/store -dir e2e-run/export -baseline baseline.txt
 	bin/meshctl verify -store e2e-run/store -deep
 	bin/meshctl restore -store e2e-run/store -nodes 2 -baseline baseline.txt

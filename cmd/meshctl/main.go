@@ -1,30 +1,33 @@
 // Command meshctl launches and drives a multi-process OUPDR cluster, and
-// operates on the chunked mesh stores such runs export.
+// operates on the chunked mesh stores such runs export. It takes a
+// subcommand; a missing or unknown one prints usage and exits 2.
 //
-// Run mode (the default, bare flags) spawns one cmd/meshnode process per node
-// (the first is the membership seed), steps them through the phase barriers
-// over their stdin/stdout protocol, optionally SIGKILLs one worker between
-// phases and relaunches it from its checkpoint under the same node ID, and
-// finally merges the per-node block dumps into one mesh report — verifying
-// every block is reported exactly once:
-//
-//	meshctl -meshnode bin/meshnode -nodes 1 -out baseline.txt
-//	meshctl -meshnode bin/meshnode -nodes 3 -kill 2 -kill-after 0 -baseline baseline.txt
-//
-// Subcommands operate on the meshstore format:
-//
+//	meshctl run     -meshnode bin/meshnode -nodes 3 [-kill 2 -kill-after 0] [-out f] [-baseline f]
 //	meshctl export  -meshnode bin/meshnode -nodes 3 -store dir [-kill-export 2]
 //	meshctl verify  -store dir [-deep]
 //	meshctl restore -store dir -nodes 2 [-baseline baseline.txt]
+//
+// run spawns one cmd/meshnode process per node (the first is the membership
+// seed), steps them through the phase barriers over their stdin/stdout
+// protocol, optionally SIGKILLs one worker between phases and relaunches it
+// from its checkpoint under the same node ID, and finally merges the
+// per-node block dumps into one mesh report — verifying every block is
+// reported exactly once:
+//
+//	meshctl run -meshnode bin/meshnode -nodes 1 -out baseline.txt
+//	meshctl run -meshnode bin/meshnode -nodes 3 -kill 2 -kill-after 0 -baseline baseline.txt
 //
 // export runs the cluster to completion and has every node stream its blocks
 // into one chunk per node under -store, then merges the per-node manifests
 // into MANIFEST.json and verifies the store offline. The block report (-out)
 // is rendered from the manifest index — block payloads never pass through
-// the launcher, unlike the in-memory dump merge of run mode. -kill-export
+// the launcher, unlike the in-memory dump merge of run. -kill-export
 // SIGKILLs a worker right after it starts exporting and relaunches it from
 // its checkpoint; the fresh incarnation truncates the partial chunk and
 // re-exports.
+//
+// verify checks a store offline: the manifest index, and with -deep every
+// block payload.
 //
 // restore proves rank independence: it rebuilds the mesh from a store onto
 // -nodes in-process runtimes — however many nodes wrote it — and compares
@@ -55,21 +58,32 @@ import (
 	"mrts/internal/storage"
 )
 
+// subcommands maps each meshctl subcommand to its entry point.
+var subcommands = map[string]func(args []string){
+	"run":     runMain,
+	"export":  exportMain,
+	"verify":  verifyMain,
+	"restore": restoreMain,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "export":
-			exportMain(os.Args[2:])
-			return
-		case "verify":
-			verifyMain(os.Args[2:])
-			return
-		case "restore":
-			restoreMain(os.Args[2:])
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			cmd(os.Args[2:])
 			return
 		}
 	}
-	runMain(os.Args[1:])
+	fmt.Fprint(os.Stderr, `usage: meshctl <command> [flags]
+
+commands:
+  run      launch a meshnode cluster, mesh, and merge the block dumps
+  export   launch a cluster and stream its mesh into a chunk store
+  verify   check a chunk store offline
+  restore  rebuild a store's mesh onto in-process runtimes
+
+Run "meshctl <command> -h" for the command's flags.
+`)
+	os.Exit(2)
 }
 
 // clusterOpts are the flags shared by every mode that launches meshnode
@@ -182,7 +196,7 @@ func (c *control) runPhases(phases, kill, killAfter int) {
 }
 
 func runMain(args []string) {
-	fs := flag.NewFlagSet("meshctl", flag.ExitOnError)
+	fs := flag.NewFlagSet("meshctl run", flag.ExitOnError)
 	o := registerClusterOpts(fs)
 	var (
 		kill      = fs.Int("kill", -1, "worker node to SIGKILL and relaunch mid-run (-1: none; 0, the seed, is not killable)")

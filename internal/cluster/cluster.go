@@ -87,7 +87,7 @@ type Config struct {
 	// flight (<= 0 means 2).
 	PrefetchDepth int
 	// Retry is each node's storage retry policy: transient I/O faults are
-	// absorbed with backoff inside the async facade before they can reach
+	// absorbed with backoff on the swapio workers before they can reach
 	// the swap path. Zero value = single attempt.
 	Retry storage.RetryPolicy
 	// Fault, when non-nil, wraps every node's store in a deterministic

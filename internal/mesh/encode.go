@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -83,10 +84,22 @@ func (m *Mesh) EncodeTo(w io.Writer) error {
 			}
 		}
 	}
-	if err := putU32(uint32(len(m.constrained))); err != nil {
+	// Constrained edges are written sorted by (a, b), not in map order, so
+	// that one mesh always encodes to the same bytes.
+	cons := make([]edgeKey, 0, len(m.constrained))
+	for k := range m.constrained {
+		cons = append(cons, k)
+	}
+	slices.SortFunc(cons, func(x, y edgeKey) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.b, y.b)
+	})
+	if err := putU32(uint32(len(cons))); err != nil {
 		return err
 	}
-	for k := range m.constrained {
+	for _, k := range cons {
 		if err := putI32(int32(k.a)); err != nil {
 			return err
 		}

@@ -345,6 +345,47 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestEncodeDeterministic: one mesh always encodes to the same bytes, with
+// enough constrained edges that map iteration order would show.
+func TestEncodeDeterministic(t *testing.T) {
+	m := New()
+	m.InitSuper(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
+	// 16 vertices around the unit square's boundary, joined by segments.
+	var ring []VertexID
+	for side := 0; side < 4; side++ {
+		for k := 0; k < 4; k++ {
+			f := float64(k) / 4
+			p := [4]geom.Point{geom.Pt(f, 0), geom.Pt(1, f), geom.Pt(1-f, 1), geom.Pt(0, 1-f)}[side]
+			v, err := m.InsertPoint(p, NoTri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring = append(ring, v)
+		}
+	}
+	for i := range ring {
+		if err := m.InsertSegment(ring[i], ring[(i+1)%len(ring)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.NumConstrained(); n <= 8 {
+		t.Fatalf("%d constrained edges, want more than 8", n)
+	}
+	var first bytes.Buffer
+	if err := m.EncodeTo(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		if err := m.EncodeTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("encoding %d differs from the first", i+1)
+		}
+	}
+}
+
 func TestDecodeBadMagic(t *testing.T) {
 	var m Mesh
 	if err := m.DecodeFrom(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {

@@ -8,7 +8,10 @@ import (
 	"sort"
 	"testing"
 
+	"mrts/internal/delaunay3"
+	"mrts/internal/geom3"
 	"mrts/internal/mesh"
+	"mrts/internal/mesh3"
 	"mrts/internal/workload"
 )
 
@@ -151,20 +154,58 @@ func BenchmarkHashMesh(b *testing.B) {
 }
 
 // TestEncodeMeshExactCapacity: the bytes a resident block keeps are a
-// valid encoding with no spare capacity behind them.
+// valid encoding with no spare capacity behind them, for every encodeMesh
+// caller: the OUPDR and S-UPDR block mesh, the ONUPDR leaf mesh and the
+// OUPDR-3D tetrahedral block.
 func TestEncodeMeshExactCapacity(t *testing.T) {
-	bm, err := meshBlock(blockRect(12, 5, 7), workload.UniformSizeFor(1_200_000, 1.0), 0)
-	if err != nil {
-		t.Fatal(err)
+	exact := func(t *testing.T, m encodable) []byte {
+		t.Helper()
+		got, err := encodeMesh(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m.EncodedSize(); len(got) != n || cap(got) != n {
+			t.Fatalf("len %d cap %d, want both %d", len(got), cap(got), n)
+		}
+		return got
 	}
-	got, err := encodeMesh(bm.mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bm.mesh.EncodedSize(); len(got) != n || cap(got) != n {
-		t.Fatalf("len %d cap %d, want both %d", len(got), cap(got), n)
-	}
-	if h, want := hashMesh(got), hashMesh(encodedBlock(t, 12, 5, 7, 1_200_000)); !bytes.Equal(h, want) {
-		t.Fatalf("digest %x, want %x", h, want)
-	}
+	t.Run("block", func(t *testing.T) {
+		bm, err := meshBlock(blockRect(12, 5, 7), workload.UniformSizeFor(1_200_000, 1.0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := exact(t, bm.mesh)
+		if h, want := hashMesh(got), hashMesh(encodedBlock(t, 12, 5, 7, 1_200_000)); !bytes.Equal(h, want) {
+			t.Fatalf("digest %x, want %x", h, want)
+		}
+	})
+	t.Run("leaf", func(t *testing.T) {
+		h := workload.UniformSizeFor(200_000, 1.0)
+		m, _, err := meshLeaf(blockRect(12, 5, 7), workload.Uniform(h), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := exact(t, m)
+		back := mesh.New()
+		if err := back.DecodeFrom(bytes.NewReader(got)); err != nil || back.NumTriangles() != m.NumTriangles() {
+			t.Fatalf("decode: %d triangles, %v; want %d", back.NumTriangles(), err, m.NumTriangles())
+		}
+	})
+	t.Run("block3", func(t *testing.T) {
+		box := geom3.Box{Min: geom3.Pt(0, 0, 0), Max: geom3.Pt(1, 1, 1)}
+		m, err := delaunay3.NewBoxMesh(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := delaunay3.Refine(m, box, delaunay3.Options{
+			Size: func(geom3.Point) float64 { return 0.25 },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := exact(t, m)
+		back := mesh3.New()
+		if err := back.DecodeFrom(bytes.NewReader(got)); err != nil || back.NumTets() != m.NumTets() {
+			t.Fatalf("decode: %d tets, %v; want %d", back.NumTets(), err, m.NumTets())
+		}
+	})
 }

@@ -10,7 +10,6 @@ import (
 
 	"mrts/internal/core"
 	"mrts/internal/geom"
-	"mrts/internal/mesh"
 )
 
 // Mobile object type IDs (shared by all O-methods; the Factory below builds
@@ -124,11 +123,18 @@ func writeBytes(w io.Writer, b []byte) error {
 	return err
 }
 
+// encodable is a mesh that knows its exact encoded size: mesh.Mesh and
+// mesh3.Mesh.
+type encodable interface {
+	EncodedSize() int
+	EncodeTo(w io.Writer) error
+}
+
 // encodeMesh returns m's EncodeTo bytes in a slice of exactly that length.
 // A block keeps these bytes while it is resident, and a bytes.Buffer grown
 // by doubling would keep up to twice as much heap as the memory budget
 // accounts for it.
-func encodeMesh(m *mesh.Mesh) ([]byte, error) {
+func encodeMesh(m encodable) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, 0, m.EncodedSize()))
 	if err := m.EncodeTo(buf); err != nil {
 		return nil, err

@@ -610,11 +610,12 @@ func onupdrRefine(c *core.Ctx, o *leafObj) {
 		fixed = append(fixed, fixedPortion{A: a, B: b, Pts: edgePointsOn(f.Pts, a, b)})
 	}
 	m, cycle, err := meshLeaf(o.Rect, o.Size.fn(), o.Beta, fixed)
+	var data []byte
 	if err == nil {
-		var buf bytes.Buffer
-		if m.EncodeTo(&buf) == nil {
-			o.MeshData = buf.Bytes()
-		}
+		data, err = encodeMesh(m)
+	}
+	if err == nil {
+		o.MeshData = data
 		o.Boundary = cycle
 		o.Elements = int32(m.NumTriangles())
 		o.Verts = int32(m.NumVertices())

@@ -1,7 +1,6 @@
 package meshgen
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -215,11 +214,11 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *oupdrShared) {
 	if err != nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := bm.mesh.EncodeTo(&buf); err != nil {
+	data, err := encodeMesh(bm.mesh)
+	if err != nil {
 		return
 	}
-	o.MeshData = buf.Bytes()
+	o.MeshData = data
 	o.Elements = int32(bm.mesh.NumTriangles())
 	o.Verts = int32(bm.mesh.NumVertices())
 	sh.elements.Add(int64(o.Elements))

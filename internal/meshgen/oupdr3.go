@@ -1,7 +1,6 @@
 package meshgen
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -130,12 +129,12 @@ func registerOUPDR3(cl *cluster.Cluster, sh *oupdr3Shared) {
 				sh.failures.Add(1)
 				return
 			}
-			var buf bytes.Buffer
-			if err := m.EncodeTo(&buf); err != nil {
+			data, err := encodeMesh(m)
+			if err != nil {
 				sh.failures.Add(1)
 				return
 			}
-			o.MeshData = buf.Bytes()
+			o.MeshData = data
 			o.Elements = int32(m.NumInteriorTets())
 			o.Verts = int32(m.NumVertices())
 			sh.elements.Add(int64(o.Elements))

@@ -109,17 +109,16 @@ func TestFaultStoreCorruptGets(t *testing.T) {
 
 func TestRetryAbsorbsTransientFaults(t *testing.T) {
 	fs := NewFault(NewMem(), FaultConfig{FailFirstGets: 2, FailFirstPuts: 2})
-	a := NewAsyncRetry(fs, 1, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond})
-	defer a.Close()
-	if _, err := a.PutAsync("k", []byte("v")).Wait(); err != nil {
-		t.Fatalf("PutAsync with retry budget = %v", err)
+	r := NewRetrier(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond})
+	if err := r.DoPutBuf(fs, "k", []byte("v")); err != nil {
+		t.Fatalf("DoPutBuf with retry budget = %v", err)
 	}
-	data, err := a.GetAsync("k").Wait()
+	data, err := r.DoGetBuf(fs, "k")
 	if err != nil || string(data) != "v" {
-		t.Fatalf("GetAsync with retry budget = %q, %v", data, err)
+		t.Fatalf("DoGetBuf with retry budget = %q, %v", data, err)
 	}
-	if r := a.Retries(); r != 4 {
-		t.Fatalf("Retries() = %d, want 4 (2 put + 2 get)", r)
+	if n := r.Retries(); n != 4 {
+		t.Fatalf("Retries() = %d, want 4 (2 put + 2 get)", n)
 	}
 }
 
@@ -127,18 +126,17 @@ func TestRetryExhaustsBudget(t *testing.T) {
 	fs := NewFault(NewMem(), FaultConfig{FailFirstGets: 10})
 	fs.Inner().Put("k", []byte("v"))
 	var observed int
-	a := NewAsyncRetry(fs, 1, RetryPolicy{
+	r := NewRetrier(RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Microsecond,
 		MaxDelay:    10 * time.Microsecond,
 		OnRetry:     func(key Key, attempt int, err error) { observed++ },
 	})
-	defer a.Close()
-	if _, err := a.GetAsync("k").Wait(); !errors.Is(err, ErrInjected) {
+	if _, err := r.DoGetBuf(fs, "k"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("exhausted Get = %v, want ErrInjected", err)
 	}
-	if r := a.Retries(); r != 2 {
-		t.Fatalf("Retries() = %d, want 2 (3 attempts)", r)
+	if n := r.Retries(); n != 2 {
+		t.Fatalf("Retries() = %d, want 2 (3 attempts)", n)
 	}
 	if observed != 2 {
 		t.Fatalf("OnRetry observed %d retries, want 2", observed)
@@ -148,32 +146,30 @@ func TestRetryExhaustsBudget(t *testing.T) {
 func TestRetrySkipsPermanentErrors(t *testing.T) {
 	fs := NewFault(NewMem(), FaultConfig{FailFirstGets: 10, Permanent: true, Keys: []Key{"k"}})
 	fs.Inner().Put("k", []byte("v"))
-	a := NewAsyncRetry(fs, 1, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
-	defer a.Close()
-	if _, err := a.GetAsync("k").Wait(); !IsPermanent(err) {
+	r := NewRetrier(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
+	if _, err := r.DoGetBuf(fs, "k"); !IsPermanent(err) {
 		t.Fatalf("permanent Get = %v, want permanent", err)
 	}
-	if r := a.Retries(); r != 0 {
-		t.Fatalf("Retries() = %d, want 0 for a permanent error", r)
+	if n := r.Retries(); n != 0 {
+		t.Fatalf("Retries() = %d, want 0 for a permanent error", n)
 	}
 	// A missing key is permanent too: no retries burned on ErrNotFound.
-	if _, err := a.GetAsync("missing").Wait(); !errors.Is(err, ErrNotFound) {
+	if _, err := r.DoGetBuf(fs, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 	}
-	if r := a.Retries(); r != 0 {
-		t.Fatalf("Retries() = %d after ErrNotFound, want 0", r)
+	if n := r.Retries(); n != 0 {
+		t.Fatalf("Retries() = %d after ErrNotFound, want 0", n)
 	}
 }
 
 func TestRetryZeroPolicySingleAttempt(t *testing.T) {
 	fs := NewFault(NewMem(), FaultConfig{FailFirstPuts: 1})
-	a := NewAsync(fs, 1)
-	defer a.Close()
-	if _, err := a.PutAsync("k", []byte("v")).Wait(); !errors.Is(err, ErrInjected) {
+	r := NewRetrier(RetryPolicy{})
+	if err := r.DoPutBuf(fs, "k", []byte("v")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Put without retry = %v, want ErrInjected", err)
 	}
-	if r := a.Retries(); r != 0 {
-		t.Fatalf("Retries() = %d, want 0", r)
+	if n := r.Retries(); n != 0 {
+		t.Fatalf("Retries() = %d, want 0", n)
 	}
 }
 

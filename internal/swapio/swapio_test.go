@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mrts/internal/clock"
 	"mrts/internal/storage"
 )
 
@@ -406,6 +407,47 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestWriteBurstDrainsAtClose: Write is never bounded, so a large burst of
+// eviction writes against one slow worker neither drops nor deadlocks, and
+// a Close issued while most of the burst is still queued drains every write
+// to the store. The disk model runs on a virtual clock: the serialized seeks
+// cost simulated time only.
+func TestWriteBurstDrainsAtClose(t *testing.T) {
+	vclk := clock.NewVirtual()
+	defer vclk.Stop()
+	mem := storage.NewMem()
+	st := storage.NewLatencyClock(mem, storage.DiskModel{Seek: 50 * time.Microsecond}, vclk)
+	s := New(st, Config{Workers: 1, QueueBound: 2})
+	const n = 200
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		ok := s.Store(storage.Key(fmt.Sprintf("k%d", i)), uint64(i),
+			func() ([]byte, error) { return make([]byte, 64), nil }, nil,
+			func(_ int, err error) {
+				defer wg.Done()
+				if err != nil {
+					t.Errorf("burst write: %v", err)
+				}
+			})
+		if !ok {
+			t.Fatalf("write %d refused", i)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if !mem.Has(storage.Key(fmt.Sprintf("k%d", i))) {
+			t.Fatalf("k%d missing after Close", i)
+		}
+	}
+	if snap := s.Snapshot(); snap.CompletedWrites != n || snap.QueueDepth != 0 {
+		t.Fatalf("completed %d writes, queue depth %d; want %d, 0", snap.CompletedWrites, snap.QueueDepth, n)
 	}
 }
 

@@ -473,7 +473,10 @@ func (s *Store) Get(key storage.Key) ([]byte, error) {
 		var psize int64
 		if ent.place == inSlow && ent.gen == gen {
 			ent.misses++
-			if s.cfg.PromoteAfter > 0 && ent.misses >= s.cfg.PromoteAfter {
+			// A latched key is mid-mutation: the Put or demotion holding
+			// the latch owns its lease charge and settles it when done, so
+			// a reservation now would overwrite that charge and leak it.
+			if s.cfg.PromoteAfter > 0 && ent.misses >= s.cfg.PromoteAfter && !ent.writing {
 				promote = s.reservePromoteLocked(ent)
 				gen = ent.gen
 				psize = ent.size // read under s.mu; a racing Put mutates it

@@ -461,6 +461,51 @@ func TestPutFailingBothTiersOnPromotingRevertsToSlow(t *testing.T) {
 	checkClean(t, s)
 }
 
+// heldPuts blocks every Put until the test releases it, reporting on
+// entered once the Put is underway.
+type heldPuts struct {
+	storage.Store
+	entered, release chan struct{}
+}
+
+func (h heldPuts) Put(k storage.Key, data []byte) error {
+	h.entered <- struct{}{}
+	<-h.release
+	return h.Store.Put(k, data)
+}
+
+// TestPromotionWaitsForLatchedPut replays the lease leak the concurrent
+// hammer hit: a demand miss on a slow-resident key whose admitted overwrite
+// is still writing tier 0 must not reserve a promotion. The reservation
+// would overwrite the charge the Put already holds, and once the Put lands
+// the lease counts bytes no entry charges.
+func TestPromotionWaitsForLatchedPut(t *testing.T) {
+	slow := storage.NewMem()
+	fast := heldPuts{storage.NewMem(), make(chan struct{}), make(chan struct{})}
+	s := newTiered(t, Config{Fast: fast, Slow: slow, Capacity: 1000, PromoteAfter: 1})
+	if err := slow.Put("k", blob(50)); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.index["k"] = &entry{size: 50, place: inSlow}
+	s.mu.Unlock()
+
+	put := make(chan error)
+	go func() { put <- s.Put("k", blob(60)) }()
+	<-fast.entered // the overwrite is admitted, latched and charged
+	if got, err := s.Get("k"); err != nil || len(got) != 50 {
+		t.Fatalf("get during the overwrite: %v (%d bytes)", err, len(got))
+	}
+	close(fast.release)
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Snapshot(); st.FastBytes != 60 {
+		t.Fatalf("lease charges %d bytes, want the 60 of the overwrite", st.FastBytes)
+	}
+	checkClean(t, s)
+}
+
 // nilOnEmpty returns a nil (not empty) slice for zero-length blobs, as some
 // stores legitimately do; the demotion pipeline must not mistake that for an
 // aborted move and wedge the key.
